@@ -1,19 +1,17 @@
 // Trace-pipeline benchmarks (the evidence behind DESIGN.md §16):
 //
-//   1. sink dispatch   — TraceBuffer's devirtualized fn-pointer sink vs
-//                        the legacy std::function sink (google-benchmark).
-//   2. compression     — synthesized blocked-LU trace vs the raw
+//   1. compression     — synthesized blocked-LU trace vs the raw
 //                        TraceRecord stream it replaces (N=512: gigabytes
 //                        down to megabytes).
-//   3. sweep modes     — the same candidate sweep on the Raw path (VM
+//   2. sweep modes     — the same candidate sweep on the Raw path (VM
 //                        re-execution per candidate), on the trace
 //                        pipeline with a cold store (synthesize + replay),
 //                        and with a warm store (replay only) — the
 //                        record-once/replay-many claim, with the chosen KS
 //                        pinned equal across all three.
-//   4. sharded replay  — bit-identical merged stats at 1..8 workers, with
+//   3. sharded replay  — bit-identical merged stats at 1..8 workers, with
 //                        per-worker-count timings.
-//   5. sampling        — sampled-vs-full sweep agreement at a size where
+//   4. sampling        — sampled-vs-full sweep agreement at a size where
 //                        the full replay is feasible (N=256), then the
 //                        headline: sampled selection on N=2000 LU, whose
 //                        full trace is ~10^10 records, in seconds.
@@ -27,7 +25,6 @@
 
 #include "analysis/assume.hpp"
 #include "bench/benchutil.hpp"
-#include "interp/trace.hpp"
 #include "ir/builder.hpp"
 #include "kernels/ir_kernels.hpp"
 #include "model/sweep.hpp"
@@ -42,49 +39,6 @@ namespace {
 using namespace blk;
 using namespace blk::ir;
 using namespace blk::ir::dsl;
-
-// ---------------------------------------------------------------------
-// 1. Sink dispatch micro-benchmark.
-
-constexpr std::size_t kSinkRecords = 1 << 20;
-constexpr std::size_t kSinkFlush = 1 << 12;
-
-void BM_SinkFnPointer(benchmark::State& st) {
-  std::uint64_t total = 0;
-  for (auto _ : st) {
-    interp::TraceBuffer tb(
-        kSinkFlush, &total,
-        [](void* ctx, std::span<const interp::TraceRecord> r) {
-          *static_cast<std::uint64_t*>(ctx) += r.size();
-        });
-    for (std::size_t i = 0; i < kSinkRecords; ++i)
-      tb.append(i * 8, (i & 7) == 0);
-    tb.flush();
-  }
-  benchmark::DoNotOptimize(total);
-  st.SetItemsProcessed(static_cast<std::int64_t>(st.iterations()) *
-                       static_cast<std::int64_t>(kSinkRecords));
-}
-BENCHMARK(BM_SinkFnPointer);
-
-void BM_SinkStdFunction(benchmark::State& st) {
-  std::uint64_t total = 0;
-  for (auto _ : st) {
-    interp::TraceBuffer tb(
-        kSinkFlush,
-        interp::TraceBuffer::Sink(
-            [&total](std::span<const interp::TraceRecord> r) {
-              total += r.size();
-            }));
-    for (std::size_t i = 0; i < kSinkRecords; ++i)
-      tb.append(i * 8, (i & 7) == 0);
-    tb.flush();
-  }
-  benchmark::DoNotOptimize(total);
-  st.SetItemsProcessed(static_cast<std::int64_t>(st.iterations()) *
-                       static_cast<std::int64_t>(kSinkRecords));
-}
-BENCHMARK(BM_SinkStdFunction);
 
 // ---------------------------------------------------------------------
 // Shared fixtures.
@@ -120,13 +74,12 @@ std::string fmt_d(const char* fmt, double v) {
 
 int main(int argc, char** argv) {
   const std::string json_path = blk::bench::extract_json_path(argc, argv);
-  blk::bench::CaptureReporter rep = blk::bench::run_all(argc, argv);
 
   const Program lu = blocked_lu();
   blk::bench::JsonWriter json(json_path);
 
   // -------------------------------------------------------------------
-  // 2. Compression: blocked LU at N=512 — the raw stream is ~2.9 GB and
+  // 1. Compression: blocked LU at N=512 — the raw stream is ~2.9 GB and
   // is never materialized; the synthesizer emits the compressed trace
   // directly from the IR.
   trace::EncodedTrace t512;
@@ -141,7 +94,7 @@ int main(int argc, char** argv) {
   const double compression = t512.compression_ratio();
 
   // -------------------------------------------------------------------
-  // 3. The same sweep three ways.  min-of-2 timings.
+  // 2. The same sweep three ways.  min-of-2 timings.
   model::SweepOptions base;
   base.candidates = {4, 8, 16, 32, 64};
   base.probe_params = {{"N", 128}};
@@ -185,7 +138,7 @@ int main(int argc, char** argv) {
   const double replay_speedup = raw_s / warm_s;
 
   // -------------------------------------------------------------------
-  // 4. Sharded replay: merged stats must be bit-identical at any worker
+  // 3. Sharded replay: merged stats must be bit-identical at any worker
   // count (shard plan forced to ~43 shards via a small target).
   trace::EncodedTrace det;
   {
@@ -216,7 +169,7 @@ int main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------
-  // 5a. Sampling fidelity where the full replay is feasible: N=256,
+  // 4a. Sampling fidelity where the full replay is feasible: N=256,
   // every 8th block row.  The sweep validates sampled-vs-full on the
   // middle candidate itself; we additionally pin the winning KS.
   model::SweepOptions agree = base;
@@ -232,7 +185,7 @@ int main(int argc, char** argv) {
   const long full_ks = full_res.rows[full_res.best_index].ks;
   const long samp_ks = samp_res.rows[samp_res.best_index].ks;
 
-  // 5b. The headline: sampled selection on N=2000 LU.  The full trace is
+  // 4b. The headline: sampled selection on N=2000 LU.  The full trace is
   // ~1.1e10 records (171 GB raw) — the validation probe is skipped by the
   // record cap and the tolerance above carries over.
   model::SweepOptions big;
@@ -293,11 +246,6 @@ int main(int argc, char** argv) {
 
   if (json.enabled()) {
     json.set_parallel(true);
-    json.row("sink_fnptr_1M", rep.get("BM_SinkFnPointer"));
-    json.row("sink_stdfunction_1M", rep.get("BM_SinkStdFunction"),
-             rep.get("BM_SinkFnPointer") > 0
-                 ? rep.get("BM_SinkFnPointer") / rep.get("BM_SinkStdFunction")
-                 : -1.0);
     json.row("synthesize_lu512", synth_s);
     json.row("sweep_raw_vm_n128", raw_s);
     json.row("sweep_trace_cold_n128", cold_s, raw_s / cold_s);

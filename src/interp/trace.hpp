@@ -11,18 +11,14 @@
 // memory.
 //
 // The sink is a plain function pointer plus context, not a std::function:
-// every flush on the product path (cachesim streaming, the trace
-// encoder's record hook) dispatches through one indirect call with no
-// allocation or type erasure.  A std::function convenience constructor
-// remains for tests and ad-hoc callers; it boxes the callable once and
-// trampolines through the same pointer, so the hot append loop is
-// identical either way (bench_trace pins the flush-dispatch difference).
+// every flush (cachesim streaming, the trace encoder's record hook)
+// dispatches through one indirect call with no allocation or type
+// erasure.  Callers with a lambda pass its address as the context and a
+// captureless trampoline as the function.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -39,10 +35,8 @@ struct TraceRecord {
 /// Growable, reusable trace store with optional batched delivery.
 class TraceBuffer {
  public:
-  /// Devirtualized sink: one indirect call per flush, no type erasure.
+  /// The sink: one indirect call per flush, no type erasure.
   using SinkFn = void (*)(void* ctx, std::span<const TraceRecord>);
-  /// Legacy erased sink, kept for tests and ad-hoc consumers.
-  using Sink = std::function<void(std::span<const TraceRecord>)>;
 
   TraceBuffer() { recs_.reserve(4096); }
 
@@ -50,18 +44,6 @@ class TraceBuffer {
   /// are handed to `sink(ctx, ...)` and dropped, bounding memory.
   TraceBuffer(std::size_t flush_threshold, void* ctx, SinkFn sink)
       : flush_threshold_(flush_threshold), sink_ctx_(ctx), sink_fn_(sink) {
-    recs_.reserve(flush_threshold_ ? flush_threshold_ : 4096);
-  }
-
-  /// Legacy streaming mode: boxes the callable once; flushes trampoline
-  /// through the same function-pointer path as the devirtualized sink.
-  TraceBuffer(std::size_t flush_threshold, Sink sink)
-      : flush_threshold_(flush_threshold),
-        boxed_(std::make_unique<Sink>(std::move(sink))) {
-    sink_ctx_ = boxed_.get();
-    sink_fn_ = [](void* ctx, std::span<const TraceRecord> recs) {
-      (*static_cast<Sink*>(ctx))(recs);
-    };
     recs_.reserve(flush_threshold_ ? flush_threshold_ : 4096);
   }
 
@@ -99,7 +81,6 @@ class TraceBuffer {
   std::size_t flush_threshold_ = 0;
   void* sink_ctx_ = nullptr;
   SinkFn sink_fn_ = nullptr;
-  std::unique_ptr<Sink> boxed_;  ///< keeps a legacy callable alive
 };
 
 }  // namespace blk::interp

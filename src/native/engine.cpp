@@ -63,54 +63,31 @@ void record_guard_fail(const std::string& key) {
   }
 }
 
-void record_demotion(const std::string& key) {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  ++r.totals.demotions;
-  for (auto it = r.kernels.rbegin(); it != r.kernels.rend(); ++it) {
-    if (it->key == key) {
-      it->demoted = true;
-      break;
-    }
-  }
-}
-
 }  // namespace
 
 Kernel::Kernel(const ir::Program& p, const std::string& fn_name,
                KernelCache* cache, const ir::ParallelOptions* parallel,
-               const ir::GuardOptions* guards, const std::string& variant,
-               int opt_level) {
+               const ir::GuardOptions* guards, const std::string& variant) {
   const Toolchain* tc = toolchain();
   if (!tc)
     throw Error(
         "native: no host C toolchain (install cc or set BLK_NATIVE_CC); "
         "use the VM engine instead");
-  // Hot-tier builds swap -O2 for -O3 -funroll-loops (measured on the LU
-  // kernels: -O3 alone helps point LU but regresses blocked LU under
-  // gcc's vectorizer; adding -funroll-loops wins on both).  The flag set
-  // is part of Toolchain::id(), so the levels never alias in the cache.
-  Toolchain hot_tc;
-  if (opt_level != 2) {
-    hot_tc = *tc;
-    for (auto& f : hot_tc.flags)
-      if (f == "-O2") f = "-O" + std::to_string(opt_level);
-    hot_tc.flags.push_back("-funroll-loops");
-    tc = &hot_tc;
-  }
+  const bool want_guards = guards && guards->enabled();
+  // Guarded builds are specialized ones; they alone take the hot flags.
+  const Toolchain build_tc = want_guards ? tc->hot() : *tc;
 
   param_names_ = p.params();
   for (const auto& [name, decl] : p.arrays()) array_names_.push_back(name);
   for (const auto& sc : p.scalars()) scalar_names_.push_back(sc);
 
-  const bool want_guards = guards && guards->enabled();
   source_ = ir::emit_c(p, fn_name,
                        {.scalar_io = true,
                         .entry_wrapper = true,
                         .parallel = parallel,
                         .guards = want_guards ? guards : nullptr});
   KernelCache& kc = cache ? *cache : default_cache();
-  CompileOutcome out = kc.get_or_compile(source_, *tc, variant);
+  CompileOutcome out = kc.get_or_compile(source_, build_tc, variant);
   so_path_ = out.so_path;
   module_ = std::make_unique<Module>(out.so_path);
   entry_ = reinterpret_cast<EntryFn>(module_->sym(fn_name + "_entry"));
@@ -153,12 +130,6 @@ long Kernel::check_guards(const long* params, double* const* arrays) {
     record_guard_fail(timings_.key);
   }
   return failed;
-}
-
-void Kernel::demote() {
-  if (timings_.demoted) return;
-  timings_.demoted = true;
-  record_demotion(timings_.key);
 }
 
 void warm(const std::vector<const ir::Program*>& programs, int workers,
@@ -221,7 +192,6 @@ std::string stats_json() {
      << ", \"compiles\": " << t.compiles
      << ", \"cache_hits\": " << t.cache_hits << ", \"runs\": " << t.runs
      << ", \"guard_fails\": " << t.guard_fails
-     << ", \"demotions\": " << t.demotions
      << ", \"compile_seconds\": " << t.compile_seconds
      << ", \"load_seconds\": " << t.load_seconds
      << ", \"run_seconds\": " << t.run_seconds << ", \"kernels\": [";
@@ -234,8 +204,7 @@ std::string stats_json() {
        << ", \"load_seconds\": " << k.load_seconds
        << ", \"runs\": " << k.runs
        << ", \"run_seconds\": " << k.run_seconds
-       << ", \"guard_fails\": " << k.guard_fails
-       << ", \"demoted\": " << (k.demoted ? "true" : "false") << "}";
+       << ", \"guard_fails\": " << k.guard_fails << "}";
   }
   os << "]}";
   return os.str();

@@ -48,7 +48,6 @@ struct KernelTimings {
   std::uint64_t runs = 0;
   double run_seconds = 0.0;
   std::uint64_t guard_fails = 0;  ///< entry-guard rejections of this variant
-  bool demoted = false;           ///< runtime gave up on this variant
 };
 
 /// One compiled program.  Construction emits C, compiles (or reuses the
@@ -63,20 +62,19 @@ struct KernelTimings {
 class Kernel {
  public:
   /// `guards` non-null (and enabled) makes the emitted unit export a
-  /// guard function checked by call_guarded; `variant` is the
+  /// guard function checked by check_guards; `variant` is the
   /// assumption-set hash keying this specialized build in the cache
-  /// (generic kernels leave it empty).  `opt_level` selects the host
-  /// compiler's -O level: the default 2 is the generic tier, 3 is the
-  /// hot tier — -O3 plus -funroll-loops, the recipe the tiered runtime
-  /// compiles specialized variants with (the flags are part of the
-  /// toolchain id, so the two levels occupy distinct cache entries).
+  /// (generic kernels leave it empty).  A guarded build is a specialized
+  /// one, and it compiles with the hot flags (-O3 -funroll-loops in
+  /// place of -O2; see Toolchain::hot); every other build keeps the
+  /// toolchain's own flags.  The flags are part of the toolchain id, so
+  /// the two flag sets occupy distinct cache entries.
   explicit Kernel(const ir::Program& p,
                   const std::string& fn_name = "blk_kernel",
                   KernelCache* cache = nullptr,
                   const ir::ParallelOptions* parallel = nullptr,
                   const ir::GuardOptions* guards = nullptr,
-                  const std::string& variant = "",
-                  int opt_level = 2);
+                  const std::string& variant = "");
 
   /// Invoke the compiled code.  `params` / `arrays` / `scalars` follow
   /// the declaration-order contract above; the scalar block is read at
@@ -92,9 +90,6 @@ class Kernel {
                                   double* const* arrays);
 
   [[nodiscard]] bool guarded() const { return guard_ != nullptr; }
-  /// Mark this variant demoted (repeated guard failures); bumps the
-  /// registry's demotion counter once per kernel.
-  void demote();
 
   [[nodiscard]] const std::vector<std::string>& param_names() const {
     return param_names_;
@@ -138,7 +133,6 @@ struct Stats {
   std::uint64_t cache_hits = 0;
   std::uint64_t runs = 0;
   std::uint64_t guard_fails = 0;  ///< entry-guard rejections (all variants)
-  std::uint64_t demotions = 0;    ///< variants the runtime gave up on
   double compile_seconds = 0.0;
   double load_seconds = 0.0;
   double run_seconds = 0.0;
@@ -152,8 +146,7 @@ void reset_stats();
 
 /// The whole registry as a JSON object:
 ///   {"compiles": 2, "cache_hits": 5, ..., "guard_fails": 0,
-///    "demotions": 0, "kernels": [{..., "variant": "", "guard_fails": 0,
-///    "demoted": false}, ...]}
+///    "kernels": [{..., "variant": "", "guard_fails": 0}, ...]}
 [[nodiscard]] std::string stats_json();
 
 }  // namespace blk::native

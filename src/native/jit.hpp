@@ -25,6 +25,11 @@ struct Toolchain {
   /// compiler or flag change never reuses a stale shared object.
   [[nodiscard]] std::string id() const;
 
+  /// The hot flag set specialized kernels compile with: -O3 in place of
+  /// -O2, plus -funroll-loops.  Its id() differs, so hot and generic
+  /// objects never alias in the kernel cache.
+  [[nodiscard]] Toolchain hot() const;
+
   /// Full shell command compiling `src` to `out` (stderr not redirected;
   /// callers append their own `2> file`).
   [[nodiscard]] std::string command(const std::string& src,

@@ -1,6 +1,7 @@
 #include "pm/runner.hpp"
 
 #include <chrono>
+#include <cstdio>
 #include <sstream>
 
 #include "ir/error.hpp"
@@ -58,27 +59,33 @@ RunReport run_spec(ir::Program& p, std::string_view spec,
   return run_pipeline(pipe, ctx);
 }
 
-namespace {
-
 std::string json_escape(std::string_view s) {
   std::string out;
+  out.reserve(s.size() + 8);
   for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') {
-      out += "\\n";
-      continue;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
     }
-    out += c;
   }
   return out;
 }
 
-}  // namespace
-
 std::string report_json(const RunReport& report, std::string_view program,
                         std::string_view pipeline,
-                        std::string_view native_json,
-                        std::string_view tiered_json) {
+                        std::string_view native_json) {
   std::ostringstream os;
   os << "{\n";
   os << "  \"program\": \"" << json_escape(program) << "\",\n";
@@ -90,8 +97,6 @@ std::string report_json(const RunReport& report, std::string_view program,
      << ", \"build_seconds\": " << report.analysis.build_seconds << "},\n";
   if (!native_json.empty())
     os << "  \"native\": " << native_json << ",\n";
-  if (!tiered_json.empty())
-    os << "  \"tiered\": " << tiered_json << ",\n";
   os << "  \"passes\": [\n";
   for (std::size_t i = 0; i < report.passes.size(); ++i) {
     const PassStat& p = report.passes[i];

@@ -160,8 +160,9 @@ TEST(Cache, StreamedTraceBufferMatchesDirectSimulation) {
   interp::seed_store(eng.store(), 3);
   Cache streamed(cfg);
   interp::TraceBuffer buf(
-      64, [&streamed](std::span<const interp::TraceRecord> recs) {
-        streamed.simulate(recs);
+      64, &streamed,
+      [](void* ctx, std::span<const interp::TraceRecord> recs) {
+        static_cast<Cache*>(ctx)->simulate(recs);
       });
   eng.run(buf);
   buf.flush();

@@ -348,11 +348,15 @@ TEST(ExecEngineFacade, LegacyCallbackMatchesBufferedTrace) {
 TEST(TraceBufferStreaming, FlushesBatchesWithoutLosingRecords) {
   std::vector<TraceRecord> seen;
   std::size_t batches = 0;
-  TraceBuffer buf(16, [&](std::span<const TraceRecord> recs) {
+  auto sink = [&](std::span<const TraceRecord> recs) {
     ++batches;
     EXPECT_LE(recs.size(), 16u);
     seen.insert(seen.end(), recs.begin(), recs.end());
-  });
+  };
+  TraceBuffer buf(16, &sink,
+                  [](void* ctx, std::span<const TraceRecord> recs) {
+                    (*static_cast<decltype(sink)*>(ctx))(recs);
+                  });
   for (std::uint64_t i = 0; i < 100; ++i)
     buf.append(i * 8, (i % 3) == 0);
   buf.flush();

@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include "interp/interp.hpp"
@@ -115,7 +116,8 @@ TEST(NativeEngine, TracedRunThrowsAndStatementCountIsZero) {
   ir::Program p = kernels::lu_point_ir();
   interp::ExecEngine e(p, {{"N", 9}}, interp::Engine::Native);
   test::seed_inputs(e, 1, {{"A", 9.0}});
-  interp::TraceBuffer tb(1024, [](std::span<const interp::TraceRecord>) {});
+  interp::TraceBuffer tb(1024, nullptr,
+                         [](void*, std::span<const interp::TraceRecord>) {});
   EXPECT_THROW(e.run(tb), Error);
   e.run();
   EXPECT_EQ(e.statements_executed(), 0u)
@@ -128,6 +130,15 @@ TEST(NativeEngine, ParseEngineSpellingsAndErrors) {
   EXPECT_EQ(interp::parse_engine("native"), interp::Engine::Native);
   EXPECT_THROW((void)interp::parse_engine("cuda"), Error);
   EXPECT_STREQ(interp::to_string(interp::Engine::Native), "native");
+}
+
+TEST(NativeEngine, StatsJsonCarriesGuardExtensions) {
+  const std::string json = stats_json();
+  for (const char* key :
+       {"\"kernels_built\":", "\"compiles\":", "\"cache_hits\":",
+        "\"runs\":", "\"guard_fails\":", "\"compile_seconds\":",
+        "\"load_seconds\":", "\"run_seconds\":", "\"kernels\":"})
+    EXPECT_NE(json.find(key), std::string::npos) << key << "\n" << json;
 }
 
 TEST(NativeEngine, WarmPrecompilesSoConstructionHits) {

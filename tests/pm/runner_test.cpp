@@ -163,6 +163,19 @@ TEST(PipelineRunner, StatsRecordIrDeltaAndCacheTraffic) {
   EXPECT_NE(json.find("stripmine(b=KS)"), std::string::npos);
 }
 
+// Control characters in a program name or note must not break the JSON:
+// tab by name, the rest of the range below 0x20 as \u00XX.
+TEST(PipelineRunner, ReportJsonEscapesControlCharacters) {
+  const std::string json =
+      report_json(RunReport{}, "dir\tname\x01.f", "spec");
+  EXPECT_NE(json.find("\"program\": \"dir\\tname\\u0001.f\""),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find('\t'), std::string::npos) << json;
+  EXPECT_EQ(json.find('\x01'), std::string::npos) << json;
+  EXPECT_EQ(json_escape("\r\n\"\\\x1f"), "\\r\\n\\\"\\\\\\u001f");
+}
+
 // The registry covers every primitive and driver the issue names.
 TEST(PipelineRunner, RegistryCoversTheCatalogue) {
   for (const char* name :

@@ -4,7 +4,8 @@
 // binding, provably-dead remainder loops actually disappear, and the
 // emitted entry guards accept exactly the bindings the assumptions
 // describe — wrong-N, non-divisible and aliasing bindings are each
-// caught by the right guard code.
+// caught by the right guard code — and only guarded builds take the hot
+// compiler flags.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -344,6 +345,38 @@ TEST(Guards, SpecializedKernelMatchesVmAndGuardFailIsCounted) {
   EXPECT_EQ(after.guard_fails, before.guard_fails + 1);
   EXPECT_EQ(k.timings().guard_fails, 1u);
   EXPECT_EQ(k.timings().variant, as.hash());
+}
+
+TEST(Guards, GuardedKernelCompilesWithHotFlagsUnguardedKeepsO2) {
+  if (!native::available()) GTEST_SKIP() << "no host C toolchain";
+  ir::Program p = kernels::lu_point_ir();
+  const ir::Env env{{"N", 12}};
+  const AssumptionSet as = AssumptionSet::from_binding(p, env);
+  SpecializeResult sr = specialize(p, as);
+  ASSERT_TRUE(sr.guards.enabled());
+  const native::Toolchain& tc = *native::toolchain();
+  const native::Toolchain hot = tc.hot();
+  EXPECT_NE(hot.id().find(" -O3 "), std::string::npos) << hot.id();
+  EXPECT_NE(hot.id().find(" -funroll-loops"), std::string::npos) << hot.id();
+  EXPECT_EQ(hot.id().find(" -O2 "), std::string::npos) << hot.id();
+  EXPECT_NE(tc.id().find(" -O2 "), std::string::npos) << tc.id();
+
+  native::Kernel guarded(sr.prog, "blk_kernel", nullptr, nullptr,
+                         &sr.guards, as.hash());
+  ASSERT_TRUE(guarded.guarded());
+  EXPECT_EQ(guarded.timings().key,
+            native::KernelCache::hash_key(guarded.source(), hot, as.hash()));
+
+  // The same specialized program without guards is a generic build.
+  native::Kernel plain(sr.prog);
+  ASSERT_FALSE(plain.guarded());
+  EXPECT_EQ(plain.timings().key,
+            native::KernelCache::hash_key(plain.source(), tc));
+  // Guards that check nothing do not make a build hot either.
+  const ir::GuardOptions none;
+  native::Kernel disabled(sr.prog, "blk_kernel", nullptr, nullptr, &none);
+  ASSERT_FALSE(disabled.guarded());
+  EXPECT_EQ(disabled.timings().key, plain.timings().key);
 }
 
 TEST(Guards, GuardTermNamingUnknownParamThrows) {

@@ -20,7 +20,6 @@
 //   1  warnings found and --Werror given
 //   2  analysis errors, unreadable input, or compile failures
 //   3  usage errors (unknown option, bad --assume, bad --format)
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -31,12 +30,14 @@
 #include "analysis/assume.hpp"
 #include "ir/error.hpp"
 #include "lang/parser.hpp"
+#include "pm/runner.hpp"
 #include "pm/spec.hpp"
 #include "sa/sa.hpp"
 #include "verify/diagnostic.hpp"
 
 namespace {
 
+using blk::pm::json_escape;
 using blk::verify::Diagnostic;
 using blk::verify::Severity;
 
@@ -49,28 +50,6 @@ std::string read_all(std::istream& in) {
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 void print_text(const std::vector<FileResult>& results) {
